@@ -15,6 +15,7 @@ import (
 	"odinhpc/internal/comm/chaostest"
 	"odinhpc/internal/distmap"
 	"odinhpc/internal/galeri"
+	"odinhpc/internal/precond"
 	"odinhpc/internal/solvers"
 	"odinhpc/internal/tpetra"
 )
@@ -39,13 +40,27 @@ func TestChaosSolvers(t *testing.T) {
 			out := append(x.GatherAll(), float64(res.Iterations), res.Residual)
 			return append(out, res.History...), nil
 		}},
-		{Name: "bicgstab-laplace1d", Body: func(c *comm.Comm) (any, error) {
+		{Name: "cg-jacobi-laplace1d", Body: func(c *comm.Comm) (any, error) {
 			a, b, x := setup(c)
-			res, err := solvers.BiCGSTAB(a, b, x, solvers.Options{Tol: 1e-10, MaxIter: 200})
+			prec, err := precond.NewJacobi(a)
 			if err != nil {
 				return nil, err
 			}
-			return append(x.GatherAll(), float64(res.Iterations), res.Residual), nil
+			res, err := solvers.CG(a, b, x, solvers.Options{Tol: 1e-10, MaxIter: 200, Precond: prec, RecordHistory: true})
+			if err != nil {
+				return nil, err
+			}
+			out := append(x.GatherAll(), float64(res.Iterations), res.Residual)
+			return append(out, res.History...), nil
+		}},
+		{Name: "bicgstab-laplace1d", Body: func(c *comm.Comm) (any, error) {
+			a, b, x := setup(c)
+			res, err := solvers.BiCGSTAB(a, b, x, solvers.Options{Tol: 1e-10, MaxIter: 200, RecordHistory: true})
+			if err != nil {
+				return nil, err
+			}
+			out := append(x.GatherAll(), float64(res.Iterations), res.Residual)
+			return append(out, res.History...), nil
 		}},
 	}
 	chaostest.Run(t, []int{1, 2, 4}, 9090, kernels...)

@@ -69,32 +69,64 @@ func applyPrec(p Preconditioner, r, z *tpetra.Vector) {
 // CG solves A x = b for symmetric positive-definite A using the
 // preconditioned conjugate gradient method. x holds the initial guess on
 // entry and the solution on exit. Collective.
+//
+// An iteration does two allreduces: p·Ap, then r·z together with r·r.
+// x += αp, r −= α·Ap and the local r·r share one exec sweep. Without a
+// preconditioner z aliases r, so r·z is r·r and ||r|| is its square root.
+// The iterates are bitwise equal to the unfused recurrence (DESIGN.md,
+// "Krylov solvers").
 func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	res := Result{}
 	c := b.Comm()
 	m := a.Map()
 	r := tpetra.NewVector(c, m)
-	z := tpetra.NewVector(c, m)
+	z := r
+	if opt.Precond != nil {
+		z = tpetra.NewVector(c, m)
+	}
 	p := tpetra.NewVector(c, m)
 	ap := tpetra.NewVector(c, m)
 
-	bnorm := b.Norm2()
+	a.Apply(x, r)
+	r.Update(1, b, -1) // r = b - Ax
+	var bb, rz, rr float64
+	if opt.Precond == nil {
+		d := tpetra.Dots([]*tpetra.Vector{b, r}, []*tpetra.Vector{b, r})
+		bb, rz, rr = d[0], d[1], d[1]
+	} else {
+		opt.Precond.ApplyInverse(r, z)
+		d := tpetra.Dots([]*tpetra.Vector{b, r, r}, []*tpetra.Vector{b, z, r})
+		bb, rz, rr = d[0], d[1], d[2]
+	}
+	bnorm := math.Sqrt(bb)
 	if bnorm == 0 {
 		bnorm = 1
 	}
-	a.Apply(x, r)
-	r.Update(1, b, -1) // r = b - Ax
-	applyPrec(opt.Precond, r, z)
 	p.CopyFrom(z)
-	rz := r.Dot(z)
-	rnorm := r.Norm2()
+	rnorm := math.Sqrt(rr)
 	record := func() {
 		if opt.RecordHistory {
 			res.History = append(res.History, rnorm/bnorm)
 		}
 	}
 	record()
+	xd, rd, pd, apd := x.Data, r.Data, p.Data, ap.Data
+	var alpha float64
+	// x += alpha*p; r -= alpha*Ap; local r·r (dense.Axpy and DotSlices
+	// shapes). With a preconditioner the r·r partial is dropped and r·r
+	// travels with r·z instead.
+	step := func(lo, hi int) (part tpetra.Partials) {
+		nalpha := -alpha
+		var acc float64
+		for i := lo; i < hi; i++ {
+			xd[i] += alpha * pd[i]
+			rd[i] += nalpha * apd[i]
+			acc += rd[i] * rd[i]
+		}
+		part[0] = acc
+		return part
+	}
 	for k := 0; k < opt.MaxIter; k++ {
 		if rnorm/bnorm <= opt.Tol {
 			res.Converged = true
@@ -106,11 +138,17 @@ func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 			res.Residual = rnorm / bnorm
 			return res, ErrBreakdown
 		}
-		alpha := rz / pap
-		x.Axpy(alpha, p)
-		r.Axpy(-alpha, ap)
-		applyPrec(opt.Precond, r, z)
-		rzNew := r.Dot(z)
+		alpha = rz / pap
+		var rzNew float64
+		if opt.Precond == nil {
+			rr = tpetra.FusedSweep(1, step, x, p, r, ap)[0]
+			rzNew = rr
+		} else {
+			tpetra.FusedSweep(0, step, x, p, r, ap)
+			opt.Precond.ApplyInverse(r, z)
+			d := tpetra.Dots([]*tpetra.Vector{r, r}, []*tpetra.Vector{z, r})
+			rzNew, rr = d[0], d[1]
+		}
 		if rz == 0 {
 			res.Residual = rnorm / bnorm
 			return res, ErrBreakdown
@@ -118,7 +156,7 @@ func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 		beta := rzNew / rz
 		p.Update(1, z, beta) // p = z + beta p
 		rz = rzNew
-		rnorm = r.Norm2()
+		rnorm = math.Sqrt(rr)
 		res.Iterations = k + 1
 		record()
 	}
@@ -131,6 +169,12 @@ func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 
 // BiCGSTAB solves A x = b for general (non-symmetric) A using the
 // preconditioned BiCGSTAB method. Collective.
+//
+// An iteration does four allreduces: rhat·v, s·s, then t·t with t·s, then
+// r·r with the next iteration's rhat·r. Each vector update shares one exec
+// sweep with the inner products of its result, and without a preconditioner
+// phat aliases p and shat aliases s. The iterates are bitwise equal to the
+// unfused recurrence (DESIGN.md, "Krylov solvers").
 func BiCGSTAB(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	res := Result{}
@@ -142,30 +186,74 @@ func BiCGSTAB(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, erro
 	v := tpetra.NewVector(c, m)
 	s := tpetra.NewVector(c, m)
 	t := tpetra.NewVector(c, m)
-	phat := tpetra.NewVector(c, m)
-	shat := tpetra.NewVector(c, m)
-
-	bnorm := b.Norm2()
-	if bnorm == 0 {
-		bnorm = 1
+	phat, shat := p, s
+	if opt.Precond != nil {
+		phat = tpetra.NewVector(c, m)
+		shat = tpetra.NewVector(c, m)
 	}
+
 	a.Apply(x, r)
 	r.Update(1, b, -1)
 	rhat.CopyFrom(r)
+	// rhat is a copy of r, so rhat·r is r·r bit for bit.
+	d := tpetra.Dots([]*tpetra.Vector{b, r}, []*tpetra.Vector{b, r})
+	bnorm := math.Sqrt(d[0])
+	if bnorm == 0 {
+		bnorm = 1
+	}
+	rnorm, rhoNew := math.Sqrt(d[1]), d[1]
 	rho, alpha, omega := 1.0, 1.0, 1.0
-	rnorm := r.Norm2()
 	record := func() {
 		if opt.RecordHistory {
 			res.History = append(res.History, rnorm/bnorm)
 		}
 	}
 	record()
+	xd, rd, rhd, pd, vd := x.Data, r.Data, rhat.Data, p.Data, v.Data
+	sd, td, phd, shd := s.Data, t.Data, phat.Data, shat.Data
+	var beta float64
+	// p = r + beta*(p - omega*v): the p.Axpy then p.Update shapes.
+	pStep := func(lo, hi int) (part tpetra.Partials) {
+		nomega := -omega
+		for i := lo; i < hi; i++ {
+			pd[i] += nomega * vd[i]
+			pd[i] = 1*rd[i] + beta*pd[i]
+		}
+		return part
+	}
+	// s = r - alpha*v and the local s·s.
+	sStep := func(lo, hi int) (part tpetra.Partials) {
+		nalpha := -alpha
+		var acc float64
+		for i := lo; i < hi; i++ {
+			sd[i] = rd[i]
+			sd[i] += nalpha * vd[i]
+			acc += sd[i] * sd[i]
+		}
+		part[0] = acc
+		return part
+	}
+	// x += alpha*phat + omega*shat as two Axpy roundings; r = s - omega*t
+	// and the local r·r and rhat·r.
+	xrStep := func(lo, hi int) (part tpetra.Partials) {
+		nomega := -omega
+		var rr, rhr float64
+		for i := lo; i < hi; i++ {
+			xd[i] += alpha * phd[i]
+			xd[i] += omega * shd[i]
+			rd[i] = sd[i]
+			rd[i] += nomega * td[i]
+			rr += rd[i] * rd[i]
+			rhr += rhd[i] * rd[i]
+		}
+		part[0], part[1] = rr, rhr
+		return part
+	}
 	for k := 0; k < opt.MaxIter; k++ {
 		if rnorm/bnorm <= opt.Tol {
 			res.Converged = true
 			break
 		}
-		rhoNew := rhat.Dot(r)
 		if rhoNew == 0 || omega == 0 {
 			res.Residual = rnorm / bnorm
 			return res, ErrBreakdown
@@ -173,13 +261,13 @@ func BiCGSTAB(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, erro
 		if k == 0 {
 			p.CopyFrom(r)
 		} else {
-			beta := (rhoNew / rho) * (alpha / omega)
-			// p = r + beta*(p - omega*v)
-			p.Axpy(-omega, v)
-			p.Update(1, r, beta)
+			beta = (rhoNew / rho) * (alpha / omega)
+			tpetra.FusedSweep(0, pStep, p, v, r)
 		}
 		rho = rhoNew
-		applyPrec(opt.Precond, p, phat)
+		if opt.Precond != nil {
+			opt.Precond.ApplyInverse(p, phat)
+		}
 		a.Apply(phat, v)
 		rhv := rhat.Dot(v)
 		if rhv == 0 {
@@ -187,9 +275,8 @@ func BiCGSTAB(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, erro
 			return res, ErrBreakdown
 		}
 		alpha = rho / rhv
-		s.CopyFrom(r)
-		s.Axpy(-alpha, v)
-		if sn := s.Norm2(); sn/bnorm <= opt.Tol {
+		sn := math.Sqrt(tpetra.FusedSweep(1, sStep, s, r, v)[0])
+		if sn/bnorm <= opt.Tol {
 			x.Axpy(alpha, phat)
 			rnorm = sn
 			res.Iterations = k + 1
@@ -197,19 +284,19 @@ func BiCGSTAB(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, erro
 			record()
 			break
 		}
-		applyPrec(opt.Precond, s, shat)
+		if opt.Precond != nil {
+			opt.Precond.ApplyInverse(s, shat)
+		}
 		a.Apply(shat, t)
-		tt := t.Dot(t)
+		d := tpetra.Dots([]*tpetra.Vector{t, t}, []*tpetra.Vector{t, s})
+		tt := d[0]
 		if tt == 0 {
-			res.Residual = s.Norm2() / bnorm
+			res.Residual = sn / bnorm
 			return res, ErrBreakdown
 		}
-		omega = t.Dot(s) / tt
-		x.Axpy(alpha, phat)
-		x.Axpy(omega, shat)
-		r.CopyFrom(s)
-		r.Axpy(-omega, t)
-		rnorm = r.Norm2()
+		omega = d[1] / tt
+		d = tpetra.FusedSweep(2, xrStep, x, phat, shat, r, s, t, rhat)
+		rnorm, rhoNew = math.Sqrt(d[0]), d[1]
 		res.Iterations = k + 1
 		record()
 	}
