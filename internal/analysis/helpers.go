@@ -117,6 +117,22 @@ func IsMethodOn(fn *types.Func, pkgName, typeName, methodName string) bool {
 		RecvTypeName(fn) == typeName
 }
 
+// CommSendHelper names the comm package's internal typed send, which the
+// collectives use instead of Send so a slice is copied and boxed once.
+// sendSlice(c, dst, tag, payload) is c.Send(dst, tag, payload) in every
+// respect the analyzers care about.
+const CommSendHelper = "sendSlice"
+
+// IsCommSendHelper reports whether fn is comm's typed send helper (see
+// CommSendHelper): a package-level function of the comm package.
+func IsCommSendHelper(fn *types.Func) bool {
+	if fn == nil || fn.Name() != CommSendHelper || !ObjPkgIs(fn, "comm") {
+		return false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Recv() == nil
+}
+
 // IdentObj resolves the object an identifier denotes, checking Uses first
 // and falling back to Defs (short variable declarations define on first
 // mention). Returns nil for unresolved identifiers.

@@ -878,10 +878,14 @@ func (r *runner) evalP2P(call *ast.CallExpr, name string) {
 	}
 	pos := call.Pos()
 	switch name {
-	case "Send": // Send(dst, tag, payload)
-		dst := r.evInt(call.Args[0], "destination", "Send")
-		tag := r.evInt(call.Args[1], "tag", "Send")
-		r.eval(call.Args[2])
+	case "Send", analysis.CommSendHelper: // Send(dst, tag, payload); sendSlice(c, dst, tag, payload)
+		args := call.Args
+		if name == analysis.CommSendHelper {
+			args = args[1:]
+		}
+		dst := r.evInt(args[0], "destination", "Send")
+		tag := r.evInt(args[1], "tag", "Send")
+		r.eval(args[2])
 		r.checkPeer(pos, "Send", dst, false)
 		r.emit(event{kind: evSend, peer: dst, tag: tag, pos: pos, op: "Send"})
 	case "Recv", "RecvMsg": // Recv(src, tag)

@@ -153,8 +153,11 @@ func keyOf(info *types.Info, e ast.Expr) (commKey, bool) {
 }
 
 // isP2P reports whether fn is one of the point-to-point methods on
-// comm.Comm, returning its name.
+// comm.Comm, or comm's typed send helper, returning its name.
 func isP2P(fn *types.Func) (string, bool) {
+	if analysis.IsCommSendHelper(fn) {
+		return analysis.CommSendHelper, true
+	}
 	if fn == nil || !p2pNames[fn.Name()] {
 		return "", false
 	}

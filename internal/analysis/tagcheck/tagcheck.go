@@ -46,9 +46,10 @@ func SetReserved(rs []Range) { reserved = rs }
 // Analyzer enforces the tag invariants.
 var Analyzer = &analysis.Analyzer{
 	Name: "tagcheck",
-	Doc: "message tags passed to Send/Recv/RecvMsg/Probe/SendRecv must be " +
-		"named constants, and compile-time tag values must not collide with " +
-		"the reserved ranges in internal/analysis/tagregistry",
+	Doc: "message tags passed to Send/Recv/RecvMsg/Probe/SendRecv (and to " +
+		"comm's internal typed send) must be named constants, and " +
+		"compile-time tag values must not collide with the reserved ranges " +
+		"in internal/analysis/tagregistry",
 	Run: run,
 }
 
@@ -69,6 +70,13 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			fn := analysis.Callee(pass.Info, call)
+			if analysis.IsCommSendHelper(fn) {
+				// sendSlice(c, dst, tag, payload) is Send(dst, tag, payload).
+				if len(call.Args) > 2 {
+					checkTag(pass, "Send", call.Args[2])
+				}
+				return true
+			}
 			if fn == nil || !analysis.ObjPkgIs(fn, "comm") || analysis.RecvTypeName(fn) != "Comm" {
 				return true
 			}

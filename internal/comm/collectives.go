@@ -106,7 +106,7 @@ func (c *Comm) Barrier() {
 	for k := 1; k < c.size; k <<= 1 {
 		dst := (c.rank + k) % c.size
 		src := (c.rank - k + c.size) % c.size
-		c.Send(dst, collTag(seq, round), []byte{1})
+		sendSlice(c, dst, collTag(seq, round), []byte{1})
 		c.Recv(src, collTag(seq, round))
 		round++
 	}
@@ -115,6 +115,16 @@ func (c *Comm) Barrier() {
 // Bcast replicates root's buf on every rank, in place, over a binomial tree.
 // All ranks must pass a buffer of the same length.
 func Bcast[T any](c *Comm, root int, buf []T) {
+	if got := bcast(c, root, buf, len(buf)); c.rank != root {
+		copy(buf, got)
+	}
+}
+
+// bcast is the binomial-tree broadcast behind Bcast and Allreduce. Root
+// sends buf; every other rank returns the slice it received from its
+// parent, which it owns, after forwarding it to its children. n is the
+// length every rank expects.
+func bcast[T any](c *Comm, root int, buf []T, n int) []T {
 	seq := c.nextColl()
 	defer c.collSpan("bcast", seq)()
 	// Work in a rotated rank space where root is 0.
@@ -125,18 +135,19 @@ func Bcast[T any](c *Comm, root int, buf []T) {
 		parent := ((vr - 1) / 2)
 		src := (parent + root) % c.size
 		data := c.Recv(src, collTag(seq, 0)).([]T)
-		if len(data) != len(buf) {
-			panic(fmt.Sprintf("comm: Bcast length mismatch: root sent %d, rank %d expects %d", len(data), c.rank, len(buf)))
+		if len(data) != n {
+			panic(fmt.Sprintf("comm: Bcast length mismatch: root sent %d, rank %d expects %d", len(data), c.rank, n))
 		}
-		copy(buf, data)
+		buf = data
 	}
 	// Forward to children.
 	for _, child := range []int{2*vr + 1, 2*vr + 2} {
 		if child < c.size {
 			dst := (child + root) % c.size
-			c.Send(dst, collTag(seq, 0), buf)
+			sendSlice(c, dst, collTag(seq, 0), buf)
 		}
 	}
+	return buf
 }
 
 // BcastScalar replicates root's value on every rank and returns it.
@@ -147,20 +158,22 @@ func BcastScalar[T any](c *Comm, root int, v T) T {
 }
 
 // Reduce combines equal-length slices element-wise across ranks with op and
-// returns the result at root; other ranks receive nil. The input is not
-// modified.
+// returns the result at root; other ranks receive nil. The input is never
+// modified and the result never aliases it.
 func Reduce[T Number](c *Comm, root int, in []T, op Op) []T {
 	seq := c.nextColl()
 	defer c.collSpan("reduce", seq)()
-	acc := make([]T, len(in))
-	copy(acc, in)
+	// acc is the running partial. It starts as the caller's in and, from the
+	// first receive on, is that received buffer, which this rank owns and
+	// combines into in place.
+	acc, owned := in, false
 	vr := (c.rank - root + c.size) % c.size
 	// Binomial tree: in round k, virtual ranks with bit k set send to vr-2^k.
 	//lint:allow p2pmatch Binomial-tree reduce keyed by a run-time root and sequence tag; the conformance suites pin it
 	for k := 1; k < c.size; k <<= 1 {
 		if vr&k != 0 {
 			dst := ((vr - k) + root) % c.size
-			c.Send(dst, collTag(seq, 0), acc)
+			sendSlice(c, dst, collTag(seq, 0), acc)
 			return nil
 		}
 		if vr+k < c.size {
@@ -169,15 +182,20 @@ func Reduce[T Number](c *Comm, root int, in []T, op Op) []T {
 			if len(data) != len(acc) {
 				panic("comm: Reduce length mismatch across ranks")
 			}
-			for i := range acc {
-				acc[i] = applyOp(op, acc[i], data[i])
+			for i := range data {
+				data[i] = applyOp(op, acc[i], data[i])
 			}
+			acc, owned = data, true
 		}
 	}
-	if c.rank == root {
-		return acc
+	if c.rank != root {
+		return nil
 	}
-	return nil
+	if !owned {
+		// Root received nothing (P = 1): the result must still be a copy.
+		acc = append([]T(nil), in...)
+	}
+	return acc
 }
 
 // ReduceScalar reduces one value per rank to root; other ranks get the zero value.
@@ -193,12 +211,8 @@ func ReduceScalar[T Number](c *Comm, root int, v T, op Op) T {
 // Allreduce combines equal-length slices element-wise across ranks with op
 // and returns the full result on every rank.
 func Allreduce[T Number](c *Comm, in []T, op Op) []T {
-	res := Reduce(c, 0, in, op)
-	if c.rank != 0 {
-		res = make([]T, len(in))
-	}
-	Bcast(c, 0, res)
-	return res
+	// Non-root ranks adopt the broadcast buffer they receive.
+	return bcast(c, 0, Reduce(c, 0, in, op), len(in))
 }
 
 // AllreduceScalar reduces one value per rank and returns the result everywhere.
@@ -213,7 +227,7 @@ func Gather[T any](c *Comm, root int, in []T) [][]T {
 	defer c.collSpan("gather", seq)()
 	//lint:allow p2pmatch Root fan-in with run-time sequence tags; the conformance suites pin it
 	if c.rank != root {
-		c.Send(root, collTag(seq, 0), in)
+		sendSlice(c, root, collTag(seq, 0), in)
 		return nil
 	}
 	out := make([][]T, c.size)
@@ -242,7 +256,7 @@ func Allgather[T any](c *Comm, in []T) [][]T {
 	cur := c.rank
 	//lint:allow p2pmatch Ring allgather with run-time sequence tags; the conformance suites pin it
 	for step := 0; step < c.size-1; step++ {
-		c.Send(right, collTag(seq, step), out[cur])
+		sendSlice(c, right, collTag(seq, step), out[cur])
 		cur = (cur - 1 + c.size) % c.size
 		out[cur] = c.Recv(left, collTag(seq, step)).([]T)
 	}
@@ -275,7 +289,7 @@ func Scatter[T any](c *Comm, root int, parts [][]T) []T {
 		}
 		for dst := 0; dst < c.size; dst++ {
 			if dst != root {
-				c.Send(dst, collTag(seq, 0), parts[dst])
+				sendSlice(c, dst, collTag(seq, 0), parts[dst])
 			}
 		}
 		local := make([]T, len(parts[root]))
@@ -299,7 +313,7 @@ func Alltoall[T any](c *Comm, parts [][]T) [][]T {
 		if dst == c.rank {
 			continue
 		}
-		c.Send(dst, collTag(seq, 0), parts[dst])
+		sendSlice(c, dst, collTag(seq, 0), parts[dst])
 	}
 	out := make([][]T, c.size)
 	local := make([]T, len(parts[c.rank]))
@@ -330,7 +344,7 @@ func Scan[T Number](c *Comm, in []T, op Op) []T {
 		}
 	}
 	if c.rank < c.size-1 {
-		c.Send(c.rank+1, collTag(seq, 0), acc)
+		sendSlice(c, c.rank+1, collTag(seq, 0), acc)
 	}
 	return acc
 }
@@ -352,7 +366,7 @@ func ExclusiveScanScalar[T Number](c *Comm, v T, op Op) T {
 		seq := c.nextColl()
 		//lint:allow p2pmatch Shifted exclusive-scan chain with run-time sequence tags; the conformance suites pin it
 		if c.rank < c.size-1 {
-			c.Send(c.rank+1, collTag(seq, 0), []T{inc})
+			sendSlice(c, c.rank+1, collTag(seq, 0), []T{inc})
 		}
 		if c.rank == 0 {
 			var one T = 1
@@ -363,7 +377,7 @@ func ExclusiveScanScalar[T Number](c *Comm, v T, op Op) T {
 		// Min/max have no inverse; rerun as a shifted chain.
 		seq := c.nextColl()
 		if c.rank < c.size-1 {
-			c.Send(c.rank+1, collTag(seq, 0), []T{inc})
+			sendSlice(c, c.rank+1, collTag(seq, 0), []T{inc})
 		}
 		if c.rank == 0 {
 			return v

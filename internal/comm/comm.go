@@ -357,11 +357,27 @@ func firstError(errs []error) error {
 // never block. Slice payloads are copied, mimicking an MPI buffer copy, so
 // the sender may reuse its buffer immediately.
 func (c *Comm) Send(dst, tag int, data any) {
+	c.send(dst, tag, copyPayload(data))
+}
+
+// sendSlice is Send for a typed slice, used by the collectives: it copies
+// data once and boxes the copy once, so the caller's slice never escapes
+// and every element type is copied, not only the ones copyPayload knows.
+// Traffic accounting and tracing are exactly Send's.
+func sendSlice[T any](c *Comm, dst, tag int, data []T) {
+	out := make([]T, len(data))
+	copy(out, data)
+	c.send(dst, tag, out)
+}
+
+// send delivers a payload the fabric already owns: the caller has copied it
+// and keeps no reference, so the receiver may mutate it freely.
+func (c *Comm) send(dst, tag int, payload any) {
 	if dst < 0 || dst >= c.size {
 		panic(fmt.Sprintf("comm: Send to invalid rank %d (size %d)", dst, c.size))
 	}
 	c.jitter(jitterSend)
-	n := payloadBytes(data)
+	n := payloadBytes(payload)
 	c.f.stats.record(c.rank, dst, n)
 	// One trace event per logical Send — the identical unit Stats counts —
 	// so the trace-derived message matrix reconciles exactly with the Stats
@@ -375,11 +391,11 @@ func (c *Comm) Send(dst, tag int, data any) {
 		c.simTime += c.f.model.Time(n)
 	}
 	if c.f.plan != nil {
-		c.faultySend(dst, tag, data)
+		c.faultySend(dst, tag, payload)
 		return
 	}
-	c.tr.Deliver(c.f.owner[dst], &Frame{
-		Ctx: c.f.ctx, Src: c.rank, Dst: dst, Tag: tag, Payload: copyPayload(data),
+	c.tr.Deliver(c.f.owner[dst], Frame{
+		Ctx: c.f.ctx, Src: c.rank, Dst: dst, Tag: tag, Payload: payload,
 	})
 }
 

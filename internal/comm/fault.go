@@ -406,13 +406,14 @@ type heldMsg struct {
 // faultySend runs the Send fault pipeline: slowdown, bounded drop/retry,
 // then delivery with optional delay, duplication, and reordering. Traffic
 // stats for the logical message were already recorded by Send; this path
-// only adds perturbation accounting.
+// only adds perturbation accounting. payload is already owned by the
+// fabric (see send).
 //
 // Every decision is made on the sending side and carried in the frame, so
 // the pipeline is identical on every transport: a dropped frame is simply
 // never handed to Deliver, a duplicate is handed twice, and the hold/reorder
 // words travel with the frame for the destination mailbox to apply.
-func (c *Comm) faultySend(dst, tag int, data any) {
+func (c *Comm) faultySend(dst, tag int, payload any) {
 	p := c.f.plan
 	if d := p.SlowRanks[c.rank]; d > 0 {
 		time.Sleep(d)
@@ -440,7 +441,7 @@ func (c *Comm) faultySend(dst, tag int, data any) {
 		c.f.stats.addFault(func(fc *FaultCounts) { fc.Retries += int64(attempt) })
 	}
 
-	fr := &Frame{Ctx: c.f.ctx, Src: c.rank, Dst: dst, Tag: tag, Seq: seq, Payload: copyPayload(data)}
+	fr := Frame{Ctx: c.f.ctx, Src: c.rank, Dst: dst, Tag: tag, Seq: seq, Payload: payload}
 	if chance(p.DelayProb, p.roll(rollDelay, c.rank, dst, tag, seq, 0)) {
 		fr.Hold = 1 + int(p.roll(rollDelay, c.rank, dst, tag, seq, 1)%uint64(p.maxDelay()))
 		c.f.stats.addFault(func(fc *FaultCounts) { fc.Delayed++ })
@@ -460,9 +461,9 @@ func (c *Comm) faultySend(dst, tag int, data any) {
 		// the two copies is ever handed to the receiver, the other is
 		// discarded unread by seq dedup. The duplicate frame carries no
 		// hold/reorder so it lands immediately, like a retransmit would.
-		dup := *fr
+		dup := fr
 		dup.Hold, dup.Reorder = 0, 0
-		c.tr.Deliver(wireDst, &dup)
+		c.tr.Deliver(wireDst, dup)
 		c.f.stats.addFault(func(fc *FaultCounts) { fc.Duplicated++ })
 	}
 }

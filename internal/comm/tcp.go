@@ -80,12 +80,12 @@ func (e *tcpEndpoint) Remote() bool { return true }
 // the local rank skip the wire and land directly in the registry. An
 // unencodable payload is a programming error on the sending rank: it fails
 // the session and unwinds the sender with a typed FaultError.
-func (e *tcpEndpoint) Deliver(wireDst int, fr *Frame) {
+func (e *tcpEndpoint) Deliver(wireDst int, fr Frame) {
 	if wireDst == e.rank {
 		e.reg.box(fr.Ctx, fr.Dst).deliver(fr)
 		return
 	}
-	buf, err := encodeData(fr)
+	buf, err := encodeData(&fr)
 	if err != nil {
 		te := &TransportError{Transport: "tcp", Op: "encode", Peer: wireDst, Err: err}
 		fe := &FaultError{Kind: FaultTransport, Rank: e.rank, Peer: wireDst, Tag: fr.Tag, Wire: te}
@@ -368,7 +368,7 @@ func (tc *tcpConn) readLoop() {
 				tc.fail("decode", derr)
 				return
 			}
-			tc.ep.reg.box(fr.Ctx, fr.Dst).deliver(fr)
+			tc.ep.reg.box(fr.Ctx, fr.Dst).deliver(*fr)
 		case frameAbort:
 			fe, msg, derr := decodeAbort(body)
 			if derr != nil {

@@ -30,8 +30,9 @@ type Frame struct {
 
 // Transport moves frames between ranks. Implementations must preserve
 // per-(src,dst) frame order — MPI's non-overtaking guarantee depends on it —
-// and must take ownership of the frame passed to Deliver (the payload is
-// already copied or decoded; it never aliases sender memory).
+// and take ownership of the frame's payload (it is already copied or
+// decoded; it never aliases sender memory, and once delivered it belongs to
+// the receiver). Frames travel by value, so a send allocates no frame.
 //
 // Deliver must not block indefinitely: a send is eager on every transport
 // (the tcp transport queues frames to a per-peer writer goroutine with an
@@ -46,7 +47,7 @@ type Transport interface {
 	Remote() bool
 	// Deliver routes fr to the mailbox of (fr.Ctx, fr.Dst). wireDst is the
 	// world rank hosting that mailbox.
-	Deliver(wireDst int, fr *Frame)
+	Deliver(wireDst int, fr Frame)
 	// Close releases transport resources. On remote transports it flushes
 	// pending frames, signals an orderly goodbye to peers, and reaps the
 	// per-peer goroutines. Close is called once, after every local rank's
@@ -151,7 +152,7 @@ func (t *inprocTransport) Name() string { return "inproc" }
 func (t *inprocTransport) Remote() bool { return false }
 func (t *inprocTransport) Close() error { return nil }
 
-func (t *inprocTransport) Deliver(wireDst int, fr *Frame) {
+func (t *inprocTransport) Deliver(wireDst int, fr Frame) {
 	t.boxes[fr.Dst].deliver(fr)
 }
 
@@ -159,7 +160,7 @@ func (t *inprocTransport) Deliver(wireDst int, fr *Frame) {
 // metadata (Seq == 0) take the original fast path: append and wake. Framed
 // fault metadata routes through deliverFault, which applies the sender's
 // seeded hold/reorder decisions while preserving per-source order.
-func (b *mailbox) deliver(fr *Frame) {
+func (b *mailbox) deliver(fr Frame) {
 	if fr.Seq == 0 {
 		b.mu.Lock()
 		b.queue = append(b.queue, Message{Src: fr.Src, Tag: fr.Tag, Payload: fr.Payload})

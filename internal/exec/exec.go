@@ -39,6 +39,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"odinhpc/internal/trace"
 )
@@ -84,11 +85,45 @@ type Engine struct {
 	grain   int
 	hook    func(Call)
 
+	// stripes holds the instrumentation counters, spread so that ranks on
+	// different cores rarely share a cache line; Snapshot sums them.
+	stripes [numStripes]counterStripe
+}
+
+// numStripes is the number of counter stripes per engine, a power of two
+// so the stripe hash can take the top stripeBits bits.
+const (
+	stripeBits = 4
+	numStripes = 1 << stripeBits
+)
+
+// counterStripe is one cache-line-isolated set of counters. At 128 bytes
+// per stripe, the counters of two stripes never share a 64-byte line,
+// whatever the alignment of the array.
+type counterStripe struct {
 	calls  atomic.Int64
 	chunks atomic.Int64
 	items  atomic.Int64
 	nanos  atomic.Int64
+	_      [128 - 4*8]byte
 }
+
+// stripe picks the calling goroutine's counter stripe by hashing an address
+// on its stack. Goroutine stacks are disjoint, so one goroutine (a rank)
+// keeps hitting the same stripe while goroutines on other cores mostly land
+// on others. The choice affects only contention, never the totals.
+func (e *Engine) stripe() *counterStripe {
+	var probe byte
+	h := uint64(uintptr(unsafe.Pointer(&probe))>>10) * 0x9e3779b97f4a7c15
+	return &e.stripes[h>>(64-stripeBits)]
+}
+
+// epoch anchors the engine clock: time.Since on a monotonic epoch reads the
+// monotonic clock only, where time.Now reads the wall clock as well.
+var epoch = time.Now()
+
+// now returns monotonic nanoseconds since epoch.
+func now() int64 { return int64(time.Since(epoch)) }
 
 // Option configures an Engine at construction.
 type Option func(*Engine)
@@ -147,14 +182,18 @@ func (e *Engine) Workers() int { return e.workers }
 // Grain returns the minimum chunk size.
 func (e *Engine) Grain() int { return e.grain }
 
-// Snapshot returns the cumulative instrumentation counters.
+// Snapshot returns the cumulative instrumentation counters. Each counter
+// is exact for every call that completed before Snapshot began.
 func (e *Engine) Snapshot() Stats {
-	return Stats{
-		Calls:  e.calls.Load(),
-		Chunks: e.chunks.Load(),
-		Items:  e.items.Load(),
-		Nanos:  e.nanos.Load(),
+	var st Stats
+	for i := range e.stripes {
+		s := &e.stripes[i]
+		st.Calls += s.calls.Load()
+		st.Chunks += s.chunks.Load()
+		st.Items += s.items.Load()
+		st.Nanos += s.nanos.Load()
 	}
+	return st
 }
 
 // chunking returns the chunk size and count for n items. It depends only on
@@ -169,13 +208,14 @@ func (e *Engine) chunking(n int) (size, count int) {
 	return size, count
 }
 
-// record updates counters and fires the hook.
-func (e *Engine) record(kind string, n, chunks, workers int, start time.Time) {
-	ns := time.Since(start).Nanoseconds()
-	e.calls.Add(1)
-	e.chunks.Add(int64(chunks))
-	e.items.Add(int64(n))
-	e.nanos.Add(ns)
+// record updates counters and fires the hook. start is a now() reading.
+func (e *Engine) record(kind string, n, chunks, workers int, start int64) {
+	ns := now() - start
+	s := e.stripe()
+	s.calls.Add(1)
+	s.chunks.Add(int64(chunks))
+	s.items.Add(int64(n))
+	s.nanos.Add(ns)
 	if e.hook != nil {
 		e.hook(Call{Kind: kind, N: n, Chunks: chunks, Workers: workers, Nanos: ns})
 	}
@@ -257,7 +297,7 @@ func (e *Engine) ParallelFor(n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	start := time.Now()
+	start := now()
 	size, count := e.chunking(n)
 	if e.workers == 1 || count == 1 {
 		if s := trace.Active(); s != nil {
@@ -304,7 +344,7 @@ func ParallelReduce[A any](e *Engine, n int, fold func(lo, hi int) A, combine fu
 	if n <= 0 {
 		return fold(0, 0)
 	}
-	start := time.Now()
+	start := now()
 	size, count := e.chunking(n)
 	if e.workers == 1 || count == 1 {
 		var out A

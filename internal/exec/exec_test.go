@@ -183,6 +183,75 @@ func TestConcurrentUseAcrossRanks(t *testing.T) {
 	wg.Wait()
 }
 
+// TestStripedCountersExact drives one engine from 8 goroutines, each
+// issuing K serial and K chunked calls of both kinds, while a poller takes
+// snapshots. The counters are striped across cache lines, so Snapshot is a
+// sum over stripes: the final Calls/Chunks/Items totals must still be
+// exact, and no snapshot may see Nanos (or Calls) go backwards.
+func TestStripedCountersExact(t *testing.T) {
+	const (
+		goroutines = 8
+		k          = 200
+		grain      = 64
+		serialN    = grain - 1 // one chunk
+		chunkedN   = 5*grain + 3
+	)
+	e := New(WithWorkers(2), WithGrain(grain))
+	_, chunkedCount := e.chunking(chunkedN)
+	stop := make(chan struct{})
+	polled := make(chan error, 1)
+	go func() {
+		var prev Stats
+		for {
+			s := e.Snapshot()
+			if s.Nanos < prev.Nanos || s.Calls < prev.Calls {
+				polled <- fmt.Errorf("snapshot went backwards: %+v after %+v", s, prev)
+				return
+			}
+			prev = s
+			select {
+			case <-stop:
+				polled <- nil
+				return
+			default:
+			}
+		}
+	}()
+	sum := func(a, b int) int { return a + b }
+	span := func(lo, hi int) int { return hi - lo }
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < k; i++ {
+				e.ParallelFor(serialN, func(lo, hi int) {})
+				e.ParallelFor(chunkedN, func(lo, hi int) {})
+				ParallelReduce(e, serialN, span, sum)
+				ParallelReduce(e, chunkedN, span, sum)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-polled; err != nil {
+		t.Fatal(err)
+	}
+	got := e.Snapshot()
+	per := int64(goroutines * k * 2) // calls of each size, both kinds
+	want := Stats{
+		Calls:  2 * per,
+		Chunks: per * int64(1+chunkedCount),
+		Items:  per * (serialN + chunkedN),
+	}
+	if got.Calls != want.Calls || got.Chunks != want.Chunks || got.Items != want.Items {
+		t.Fatalf("snapshot = %+v, want Calls %d Chunks %d Items %d", got, want.Calls, want.Chunks, want.Items)
+	}
+	if got.Nanos <= 0 {
+		t.Fatalf("Nanos = %d after %d calls, want > 0", got.Nanos, got.Calls)
+	}
+}
+
 func TestDefaultEngineKnobs(t *testing.T) {
 	old := Default()
 	defer SetDefault(old)

@@ -1,6 +1,7 @@
 package solvers
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -17,7 +18,8 @@ const krylovBenchIters = 32
 // preconditioner. One op is one solve of krylovBenchIters iterations, so
 // ns/iter carries the set-up amortized over them. allreduces/iter and
 // exec-calls/iter (per rank) are exact, from a MaxIter 2 minus MaxIter 1
-// probe.
+// probe. allocs/iter counts heap allocations over both ranks, set-up
+// amortized like ns/iter.
 func BenchmarkKrylovIteration(b *testing.B) {
 	for _, s := range []struct {
 		name           string
@@ -30,10 +32,14 @@ func BenchmarkKrylovIteration(b *testing.B) {
 				b.Fatal(err)
 			}
 			var elapsed time.Duration
+			var before, after runtime.MemStats
 			err = comm.Run(2, func(c *comm.Comm) error {
 				a, rhs, _ := manufactured(c, 256)
 				x := tpetra.NewVector(c, a.Map())
 				opt := Options{MaxIter: krylovBenchIters, Tol: 1e-300}
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&before)
+				}
 				c.Barrier()
 				t0 := time.Now()
 				for i := 0; i < b.N; i++ {
@@ -45,12 +51,18 @@ func BenchmarkKrylovIteration(b *testing.B) {
 				if c.Rank() == 0 {
 					elapsed = time.Since(t0)
 				}
+				c.Barrier()
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&after)
+				}
 				return nil
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N*krylovBenchIters), "ns/iter")
+			iters := float64(b.N * krylovBenchIters)
+			b.ReportMetric(float64(elapsed.Nanoseconds())/iters, "ns/iter")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/iters, "allocs/iter")
 			b.ReportMetric(float64(counts.iterAllreduces), "allreduces/iter")
 			b.ReportMetric(counts.execPerIter, "exec-calls/iter")
 		})
